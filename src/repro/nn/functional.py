@@ -16,6 +16,12 @@ unaffected (norms run *between* quantized layers, in float), and
 calibration scales and end metrics of all seven Table I benchmarks are
 invariant to far below quantization resolution.  This is the documented
 bit-exactness waiver for the float (calibration) path.
+
+The same waiver covers :func:`gelu`: its tanh form is evaluated as
+``x * (1 + 0.044715 * x*x)`` with multiplies instead of
+``x + 0.044715 * x ** 3``, which moves results by at most ~1.4e-13
+relative.  The same test file pins the GELU kernel bound and the
+calibration-scale and end-sample invariance on the GELU models.
 """
 
 from __future__ import annotations
@@ -73,9 +79,24 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """GELU with the tanh approximation used by DiT-style transformers."""
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    """GELU with the tanh approximation used by DiT-style transformers.
+
+    ``0.5 * x * (1 + tanh(c * x * (1 + 0.044715 * x^2)))`` in multiplies
+    and in-place ufuncs on one fresh buffer: numpy's ``pow`` behind
+    ``x ** 3`` costs ~100x two multiplies on these shapes.  ``x`` is never
+    written, and float32 inputs stay float32 (all constants are Python
+    floats).  See the module docstring for the last-ulp waiver.
+    """
+    t = x * x
+    t *= 0.044715
+    t += 1.0
+    t *= x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -57,13 +57,16 @@ def _flatten_rows(x: np.ndarray) -> np.ndarray:
 def _max_product(bits: int) -> int:
     """Worst-case magnitude of one multiply in the difference algebra.
 
-    Quantized values are clipped to |q| <= 2^(bits-1), but *temporal and
-    spatial differences* of two such values span up to 2^bits - 1.  Every
-    GEMM in the Ditto paths multiplies at most (difference x quantized
-    value), so the per-term bound that the float32 exactness gate must
-    honour is 2^(2*bits - 1), not 2^(2*(bits-1)).
+    Quantized values lie in [-2^(bits-1), 2^(bits-1) - 1], so
+    |q| <= 2^(bits-1), while *temporal and spatial differences* of two such
+    values reach |d| <= 2^bits - 1.  Every GEMM in the Ditto paths
+    multiplies at most (difference x quantized value), so the per-term
+    bound the float32 exactness gate must honour is
+    (2^bits - 1) * 2^(bits-1) (255 * 128 = 32640 at 8 bits), not the naive
+    dense 2^(2(bits-1)).  A layer takes the float32 GEMM iff
+    ``dot_len * _max_product(bits) < 2^24``.
     """
-    return 1 << (2 * bits - 1)
+    return ((1 << bits) - 1) << (bits - 1)
 
 
 def _remap_rows_array(
@@ -443,7 +446,7 @@ class QConv2d(QLayerBase):
         # Single-precision integer GEMM, used only when provably exact: every
         # partial dot product must stay inside float32's 2^24 exact-integer
         # range for the worst-case operands (see _max_product - temporal
-        # *differences* span twice the quantized range).  Then the f32 kernel
+        # *differences* span nearly twice the quantized range).  Then the f32 kernel
         # is bit-exact while halving unfold/stat memory traffic and doubling
         # GEMM rate.
         dot_len = self.in_channels * self.kernel_size * self.kernel_size

@@ -24,7 +24,9 @@ from repro.core.bitwidth import BitWidthStats, classify_many
 from repro.core.trace import MODE_ID, Trace, TraceRecorder
 from repro.hw import build_accelerator
 from repro.nn import backends, functional as F
-from repro.quant.qlayers import QConv2d
+from repro.quant.qlayers import QConv2d, QLinear, _max_product, quantize_model
+from repro.quant.quantizer import qrange
+from repro.workloads import get_benchmark
 
 from helpers import make_rich, make_tiny_engine
 
@@ -263,13 +265,11 @@ def test_f32_gate_covers_difference_range():
     """
     rng = np.random.default_rng(2)
     wide = QConv2d(rng.standard_normal((4, 64, 3, 3)), None, padding=1)
-    assert not wide._use_f32  # dot_len 576 > 2^24 / 2^15
+    assert not wide._use_f32  # dot_len 576 > 2^24 / 32640
     narrow = QConv2d(rng.standard_normal((4, 32, 3, 3)), None, padding=1)
-    assert narrow._use_f32  # dot_len 288 <= 511
+    assert narrow._use_f32  # dot_len 288 <= 514
     # The reviewer's counterexample, end to end: saturated differences whose
     # exact dot product is odd and above 2^24 must survive bit-exactly.
-    from repro.quant.qlayers import QLinear
-
     lin = QLinear(np.ones((1, 1000)), None)
     assert not lin._use_f32
     lin.input_quant.scale = 1.0
@@ -281,6 +281,84 @@ def test_f32_gate_covers_difference_range():
     # exactly 1000 * 127 * 127 / 127 - any f32 rounding in the temporal
     # reconstruction (int dot 16_129_000 > 2^24) would show here.
     assert float(out.ravel()[0]) == 1000 * 127
+
+
+@pytest.mark.parametrize("bits", range(2, 9))
+def test_max_product_is_the_true_worst_case(bits):
+    """Brute force: the gate's per-term bound is exactly max |d * v|."""
+    qmin, qmax = qrange(bits)
+    values = np.arange(qmin, qmax + 1)
+    diffs = np.unique(np.subtract.outer(values, values))
+    assert _max_product(bits) == np.abs(np.multiply.outer(diffs, values)).max()
+
+
+def _linear_pair(weight, bias=None):
+    """Two identical QLinears, the second pinned to the float64 GEMM."""
+    fast = QLinear(weight, bias)
+    slow = QLinear(weight, bias)
+    slow._use_f32 = False
+    slow._q_weight_f32 = None
+    return fast, slow
+
+
+def test_f32_gate_boundary_at_8_bits():
+    """514 * 32640 < 2^24 <= 515 * 32640: the gate flips between them."""
+    assert not QLinear(np.ones((1, 515)), None)._use_f32
+    # The saturated odd counterexample at the last f32 length: a -128 ->
+    # 127 step (differences of 255, one of 254) against weights of 127.
+    lin, twin = _linear_pair(np.ones((1, 514)))
+    assert lin._use_f32
+    prev = np.full((1, 514), -128.0)
+    cur = np.full((1, 514), 127.0)
+    cur[0, 0] = 126.0
+    for layer in (lin, twin):
+        layer.input_quant.scale = 1.0
+        layer.mode = ExecutionMode.DENSE
+        layer(prev)
+        layer.mode = ExecutionMode.TEMPORAL
+    out, out_ref = lin(cur), twin(cur)
+    # The f32 difference dot is (254 + 513 * 255) * 127 = 16_645_763: odd
+    # and 131_453 below 2^24, so any rounding would show in the integer
+    # accumulator (-128 * 514 * 127 + 16_645_763).
+    assert float(lin._prev_out_int.ravel()[0]) == 127 * (126 + 513 * 127)
+    np.testing.assert_array_equal(out, out_ref)
+
+
+def test_dit_mlp2_layers_take_the_f32_gemm():
+    """in_features 512 passes the tight gate (512 * 32640 < 2^24)."""
+    model = quantize_model(get_benchmark("DiT").build_model())
+    mlp2 = {
+        name: layer._use_f32
+        for name, layer in model.named_modules()
+        if name.startswith("blocks.") and name.endswith(".mlp2")
+    }
+    assert mlp2 and all(mlp2.values()), mlp2
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_f32_and_f64_linear_paths_identical_at_512(backend):
+    """A 512-input QLinear (DiT's mlp2 shape) is bit-exact on f32 vs f64."""
+    rng = np.random.default_rng(13)
+    fast, slow = _linear_pair(
+        rng.standard_normal((32, 512)), rng.standard_normal(32)
+    )
+    assert fast._use_f32
+    for step in range(3):
+        # Wide inputs against a tight scale: about half the operands clip,
+        # so saturated temporal differences of +-255 occur.
+        x = 4.0 * rng.standard_normal((2, 8, 512))
+        for layer in (fast, slow):
+            layer.mode = (
+                ExecutionMode.DENSE if step == 0 else ExecutionMode.TEMPORAL
+            )
+            layer.input_quant.scale = 0.02
+        with TraceRecorder() as rec_fast, backends.use_backend(backend):
+            out_fast = fast(x)
+        with TraceRecorder() as rec_slow, backends.use_backend(backend):
+            out_slow = slow(x)
+        np.testing.assert_array_equal(out_fast, out_slow)
+        assert rec_fast.trace[0] == rec_slow.trace[0]
+        assert rec_fast.trace[0].executed_mode is fast.mode
 
 
 def test_pad_workspace_not_shared_across_padding_widths():

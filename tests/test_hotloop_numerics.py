@@ -23,7 +23,18 @@ here with explicit, measured bounds:
 
 This file is the documented waiver ISSUE 5 asks for: the float calibration
 path is *not* bit-exact with PR 4, and these bounds are why that is safe.
+
+The multiply-only GELU rides the same waiver.  ``x * (1 + 0.044715 * x*x)``
+replaces ``x + 0.044715 * x ** 3`` inside the tanh, which moves the kernel
+by < 1e-12 relative on realistic activations (observed <= 1.4e-13).  The
+calibration scales of the four GELU models (IMG, SDM, DiT, Latte) stay
+inside ``F32_SCALE_BOUND`` (observed <= 7.4e-7 for float32 trajectories,
+<= 1e-15 for float64) and their end samples inside ``END_METRIC_BOUND``
+(observed: DiT and Latte identical, SDM 3.4e-5 and IMG 7.9e-4 relative L1 -
+quantization rounding flips, as for float32 calibration above).
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -45,6 +56,9 @@ BENCHMARKS = list(SUITE)
 NORM_SCALE_BOUND = 1e-12
 F32_SCALE_BOUND = 5e-6
 END_METRIC_BOUND = 1e-2
+# Multiply-only GELU vs the ``x ** 3`` form (observed <= 1.4e-13).
+GELU_KERNEL_BOUND = 1e-12
+GELU_BENCHMARKS = ["IMG", "SDM", "DiT", "Latte"]  # every suite model with GELU
 
 
 # -- pre-PR-5 reference implementations (multi-pass, centered variance) ------
@@ -73,6 +87,25 @@ def ref_layer_norm(x, weight=None, bias=None, eps=1e-5):
     if bias is not None:
         out = out + bias
     return out
+
+
+def ref_gelu(x):
+    """The ``x ** 3`` tanh-GELU the multiply-only kernel replaced."""
+    inner = F._GELU_C * (x + 0.044715 * x ** 3)
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+@contextmanager
+def _swapped_kernels(**kernels):
+    """Temporarily replace ``repro.nn.functional`` kernels by name."""
+    saved = {name: getattr(F, name) for name in kernels}
+    for name, fn in kernels.items():
+        setattr(F, name, fn)
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(F, name, fn)
 
 
 # -- kernel equivalence ------------------------------------------------------
@@ -173,17 +206,15 @@ def test_fused_variance_never_goes_negative():
 
 # -- calibration-scale invariance (all seven benchmarks) ---------------------
 
-def _calibration_scales(spec, dtype="float64", ref_norms=False, steps=3):
+def _calibration_scales(spec, dtype="float64", steps=3, **kernels):
     """Per-layer scales from one short calibration trajectory.
 
     Mirrors ``DittoEngine.from_model``'s calibration setup (same seed, same
     pipeline shape) without quantizing, so two arms differing only in the
-    norm kernels / trajectory dtype are directly comparable.
+    ``kernels`` swapped into ``repro.nn.functional`` / the trajectory dtype
+    are directly comparable.
     """
-    saved = (F.group_norm, F.layer_norm)
-    if ref_norms:
-        F.group_norm, F.layer_norm = ref_group_norm, ref_layer_norm
-    try:
+    with _swapped_kernels(**kernels):
         model = spec.build_model()
         pipeline = GenerationPipeline(
             model,
@@ -194,8 +225,6 @@ def _calibration_scales(spec, dtype="float64", ref_norms=False, steps=3):
         rng = np.random.default_rng(11)
         with calibration_precision(model, pipeline, dtype):
             return calibrate_model(model, lambda: pipeline.generate(1, rng))
-    finally:
-        F.group_norm, F.layer_norm = saved
 
 
 def _max_rel_drift(a, b):
@@ -208,7 +237,9 @@ def test_fused_norm_scales_invariant(bench_name):
     """Quantization scales are unaffected by the fused-norm summation order."""
     spec = get_benchmark(bench_name)
     fused = _calibration_scales(spec)
-    reference = _calibration_scales(spec, ref_norms=True)
+    reference = _calibration_scales(
+        spec, group_norm=ref_group_norm, layer_norm=ref_layer_norm
+    )
     assert _max_rel_drift(fused, reference) < NORM_SCALE_BOUND
 
 
@@ -233,6 +264,55 @@ def test_f32_calibration_end_metrics_bounded(bench_name):
         spec, num_steps=steps, calibration_dtype="float32"
     ).run(batch_size=1, seed=0).samples
     rel_l1 = np.abs(s32 - s64).sum() / np.abs(s64).sum()
+    assert rel_l1 < END_METRIC_BOUND
+
+
+# -- multiply-only GELU (same waiver) ----------------------------------------
+
+def test_gelu_matches_pow_reference():
+    """DiT-shaped (2, 64, 512) activations: last-ulp moves only."""
+    x = np.random.default_rng(0).standard_normal((2, 64, 512))
+    want = ref_gelu(x)
+    rel = np.abs(F.gelu(x) - want) / np.abs(want)
+    assert rel.max() < GELU_KERNEL_BOUND
+
+
+def test_gelu_keeps_float32_and_leaves_input_untouched():
+    x = np.random.default_rng(1).standard_normal((2, 64, 512))
+    for arr in (x, x.astype(np.float32), x[:, ::2, ::3]):
+        before = arr.copy()
+        out = F.gelu(arr)
+        assert out.dtype == arr.dtype
+        assert not np.shares_memory(out, arr)
+        np.testing.assert_array_equal(arr, before)
+    np.testing.assert_allclose(
+        F.gelu(x.astype(np.float32)), ref_gelu(x), rtol=0, atol=2e-6
+    )
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("bench_name", GELU_BENCHMARKS)
+def test_gelu_calibration_scales_invariant(bench_name, dtype):
+    """The GELU swap moves no scale anywhere near the integer grid."""
+    spec = get_benchmark(bench_name)
+    new = _calibration_scales(spec, dtype=dtype)
+    old = _calibration_scales(spec, dtype=dtype, gelu=ref_gelu)
+    assert _max_rel_drift(new, old) < F32_SCALE_BOUND
+
+
+@pytest.mark.parametrize("bench_name", GELU_BENCHMARKS)
+def test_gelu_end_samples_bounded(bench_name):
+    """Whole-engine samples (calibration + quantized run) barely move."""
+    spec = get_benchmark(bench_name)
+
+    def samples():
+        engine = DittoEngine.from_benchmark(spec, num_steps=4)
+        return engine.run(batch_size=1, seed=0).samples
+
+    new = samples()
+    with _swapped_kernels(gelu=ref_gelu):
+        old = samples()
+    rel_l1 = np.abs(new - old).sum() / np.abs(old).sum()
     assert rel_l1 < END_METRIC_BOUND
 
 
