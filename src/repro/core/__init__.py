@@ -1,13 +1,7 @@
 """The Ditto algorithm: difference processing, Defo, traces, analytics."""
 
 from .bitwidth import BitWidthStats, classify, required_bits, stats_from_counts
-from .bops import (
-    bops_per_mac,
-    layer_bops,
-    per_step_relative_bops,
-    relative_bops,
-    trace_bops,
-)
+from .bops import per_step_relative_bops, relative_bops, trace_bops
 from .defo import DefoReport, run_defo, run_ideal
 from .engine import DittoEngine, EngineResult
 from .session import EngineSession
@@ -30,7 +24,6 @@ from .trace import (
     RichTrace,
     Trace,
     TraceRecorder,
-    derive_layer_step,
 )
 
 __all__ = [
@@ -47,9 +40,6 @@ __all__ = [
     "Trace",
     "RichTrace",
     "TraceRecorder",
-    "derive_layer_step",
-    "bops_per_mac",
-    "layer_bops",
     "trace_bops",
     "relative_bops",
     "per_step_relative_bops",

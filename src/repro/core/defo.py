@@ -18,9 +18,10 @@ other direction - the hardware cannot observe difference cycles while
 running dense).  ``ideal`` is the oracle that picks the per-layer, per-step
 argmin; Fig. 17/18 measure how close Defo gets to it.
 
-The hardware model is a parameter (anything exposing
-``layer_cycles(LayerStep) -> LayerCycles``), so Defo decisions can be studied
-on Ditto hardware, Cambricon-D, or the DS/DB ablations.
+The hardware model is a parameter: anything exposing
+``cycles_array(Trace) -> ndarray`` (per-record pipelined cycles of a lowered
+trace), so Defo decisions can be studied on Ditto hardware, Cambricon-D, or
+the DS/DB ablations.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ from .trace import (
     MODES,
     SPATIAL_ID,
     TEMPORAL_ID,
-    RichLayerStep,
     RichTrace,
     Trace,
-    derive_layer_step,
 )
 
 __all__ = ["DefoReport", "run_defo", "run_ideal"]
@@ -78,14 +77,6 @@ class DefoReport:
         )
 
 
-def _cycles(hardware, rich: RichLayerStep, mode: ExecutionMode, bypass: str) -> float:
-    return hardware.layer_cycles(derive_layer_step(rich, mode, bypass)).cycles
-
-
-def _ordered_steps(rich_trace: RichTrace) -> List[int]:
-    return sorted(rich_trace.by_step())
-
-
 def _allowed_mode_ids(rich_trace: RichTrace, attention_diff: bool) -> np.ndarray:
     """Per-record mode id of "temporal processing as allowed by the policy"."""
     if attention_diff:
@@ -96,21 +87,9 @@ def _allowed_mode_ids(rich_trace: RichTrace, attention_diff: bool) -> np.ndarray
 def _cycles_for_modes(
     rich_trace: RichTrace, hardware, mode_ids: np.ndarray, bypass: str
 ) -> np.ndarray:
-    """Per-record cycle counts under a hypothetical per-record mode choice.
-
-    Uses the hardware model's vectorized column path when it has one;
-    falls back to scalar ``layer_cycles`` calls for custom/stub models.
-    """
-    if hasattr(hardware, "cycles_array"):
-        return np.asarray(
-            hardware.cycles_array(rich_trace.lower_modes(mode_ids, bypass)),
-            dtype=np.float64,
-        )
-    return np.array(
-        [
-            _cycles(hardware, view, MODES[mode_ids[i]], bypass)
-            for i, view in enumerate(rich_trace.steps)
-        ],
+    """Per-record cycle counts under a hypothetical per-record mode choice."""
+    return np.asarray(
+        hardware.cycles_array(rich_trace.lower_modes(mode_ids, bypass)),
         dtype=np.float64,
     )
 

@@ -22,15 +22,17 @@ dataclass objects.  The original record dataclasses survive as *views*:
 record-at-a-time consumers keep working unchanged.
 
 :class:`LayerStep` is the narrow, hardware-facing view: one chosen mode, its
-operand stats, and its byte traffic.  :func:`derive_layer_step` lowers a rich
-record into it; :meth:`RichTrace.lower_modes` is the vectorized equivalent
-over a whole trace.
+operand stats, and its byte traffic.  :meth:`RichTrace.lower_modes` is the
+only lowering: it takes one mode id per record and produces the whole
+hardware :class:`Trace` as column arithmetic.  Every cost model (BOPs,
+cycles, energy) is a column function of a :class:`Trace`; a single record is
+priced as ``Trace([step])``.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +46,6 @@ __all__ = [
     "SIGN_MASK_KINDS",
     "LayerStep",
     "RichLayerStep",
-    "derive_layer_step",
     "Trace",
     "RichTrace",
     "TraceRecorder",
@@ -92,9 +93,6 @@ class LayerStep:
     def bytes_total(self) -> int:
         return self.bytes_in + self.bytes_weight + self.bytes_out + self.bytes_extra
 
-    def with_mode(self, mode: ExecutionMode, **changes) -> "LayerStep":
-        return replace(self, mode=mode, **changes)
-
 
 @dataclass
 class RichLayerStep:
@@ -126,84 +124,6 @@ class RichLayerStep:
 # Non-linearities whose difference can be reconstructed by Cambricon-D's
 # sign-mask dataflow without re-reading the previous step's input.
 SIGN_MASK_KINDS = ("silu", "groupnorm")
-
-
-def _bypasses_prev_input(rich: RichLayerStep, bypass_style: str) -> bool:
-    """Whether the previous-step input reload can be skipped.
-
-    * ``'chained'`` - Defo's static dependency analysis: the producer is a
-      linear layer, so its difference output feeds this layer directly.
-    * ``'sign_mask'`` - Cambricon-D: only SiLU / GroupNorm producers qualify.
-    * ``'both'`` - hardware applying both techniques (paper Fig. 15).
-    * ``'none'`` - naive temporal difference processing.
-    """
-    if bypass_style == "chained":
-        return rich.chained_input
-    if bypass_style == "sign_mask":
-        return rich.producer_kind in SIGN_MASK_KINDS
-    if bypass_style == "both":
-        return rich.chained_input or rich.producer_kind in SIGN_MASK_KINDS
-    if bypass_style == "none":
-        return False
-    raise ValueError(f"unknown bypass style {bypass_style!r}")
-
-
-def derive_layer_step(
-    rich: RichLayerStep,
-    mode: ExecutionMode,
-    bypass_style: str = "chained",
-) -> LayerStep:
-    """Lower a rich record to the hardware-facing view for ``mode``.
-
-    Falls back to DENSE when temporal stats do not exist yet (first step).
-    The byte-traffic model charges temporal mode for loading the previous
-    step's input (skipped when the bypass style applies), storing the
-    current input for the next step, and a load + store of the partial-sum
-    state.
-    """
-    if mode is ExecutionMode.TEMPORAL and not rich.has_temporal:
-        mode = ExecutionMode.DENSE
-    bytes_in = rich.in_elems * ACT_BYTES
-    bytes_weight = rich.weight_elems * ACT_BYTES
-    bytes_out = rich.out_elems * ACT_BYTES
-    if mode is ExecutionMode.TEMPORAL:
-        stats = rich.stats_temporal
-        sub_ops = rich.sub_ops_temporal
-        prev_in = (
-            0
-            if _bypasses_prev_input(rich, bypass_style)
-            else rich.in_elems * ACT_BYTES
-        )
-        bytes_extra = (
-            prev_in
-            + rich.in_elems * ACT_BYTES  # store current input for next step
-            + 2 * rich.out_elems * STATE_BYTES  # load + store partial state
-        )
-    elif mode is ExecutionMode.SPATIAL:
-        stats = rich.stats_spatial
-        sub_ops = 1
-        bytes_extra = 0
-    else:
-        stats = rich.stats_dense
-        sub_ops = 1
-        bytes_extra = 0
-    return LayerStep(
-        step_index=rich.step_index,
-        layer_name=rich.layer_name,
-        kind=rich.kind,
-        mode=mode,
-        macs=rich.macs,
-        data_elems=rich.data_elems,
-        stats=stats,
-        bytes_in=bytes_in,
-        bytes_weight=bytes_weight,
-        bytes_out=bytes_out,
-        bytes_extra=bytes_extra,
-        vpu_elems=rich.vpu_elems,
-        sub_ops=sub_ops,
-        nonlinear_after=rich.nonlinear_after,
-        chained_input=rich.chained_input,
-    )
 
 
 class _ColumnarTrace:
@@ -461,6 +381,20 @@ class Trace(_ColumnarTrace):
     def total_bytes(self) -> int:
         return int(self.bytes_total().sum())
 
+    def operand_fractions(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-record ``(zero, low, high)`` operand fractions of the stats.
+
+        Records without operands (``st_total == 0``) divide by one, so their
+        fractions are zero rather than NaN.
+        """
+        elems = self.col("st_total").astype(np.float64)
+        safe = np.where(elems > 0.0, elems, 1.0)
+        return (
+            self.col("st_zero") / safe,
+            self.col("st_low") / safe,
+            self.col("st_high") / safe,
+        )
+
 
 _RICH_INT_FIELDS = (
     "step_index",
@@ -590,7 +524,14 @@ class RichTrace(_ColumnarTrace):
         return np.isin(self.col("kind_id"), np.asarray(attn_ids, dtype=np.int64))
 
     def bypass_mask(self, bypass_style: str) -> np.ndarray:
-        """Boolean column: records whose prev-input reload can be skipped."""
+        """Boolean column: records whose prev-input reload can be skipped.
+
+        * ``'chained'`` - Defo's static dependency analysis: the producer is a
+          linear layer, so its difference output feeds this layer directly.
+        * ``'sign_mask'`` - Cambricon-D: only SiLU / GroupNorm producers qualify.
+        * ``'both'`` - hardware applying both techniques (paper Fig. 15).
+        * ``'none'`` - naive temporal difference processing.
+        """
         if bypass_style == "none":
             return np.zeros(len(self), dtype=bool)
         if bypass_style == "chained":
@@ -614,11 +555,13 @@ class RichTrace(_ColumnarTrace):
     def lower_modes(
         self, modes: np.ndarray, bypass_style: str = "chained"
     ) -> Trace:
-        """Vectorized lowering: one mode id per record (see :data:`MODE_ID`).
+        """Lower to the hardware trace: one mode id per record (see :data:`MODE_ID`).
 
-        This is :func:`derive_layer_step` applied to the whole trace as
-        column arithmetic; records asked for TEMPORAL without temporal stats
-        fall back to DENSE exactly like the scalar path.
+        Records asked for TEMPORAL without temporal stats (the first step)
+        fall back to DENSE.  The byte-traffic model charges temporal mode for
+        loading the previous step's input (skipped where
+        :meth:`bypass_mask` applies), storing the current input for the next
+        step, and a load + store of the partial-sum state.
         """
         modes = np.asarray(modes, dtype=np.int64)
         bypass = self.bypass_mask(bypass_style)  # validates the style
@@ -665,21 +608,6 @@ class RichTrace(_ColumnarTrace):
             "chained_input": self.col("chained_input"),
         }
         return Trace._from_columns(columns, self._names, self._kinds)
-
-    def lower(self, mode_for, bypass_style: str = "chained") -> Trace:
-        """Produce a :class:`Trace` choosing a mode per record.
-
-        ``mode_for(rich) -> ExecutionMode`` decides each record's mode; pass
-        e.g. ``lambda r: ExecutionMode.DENSE`` for the ITC baseline or a Defo
-        decision table lookup.  The callback sees dataclass views; the actual
-        lowering runs vectorized through :meth:`lower_modes`.
-        """
-        modes = np.fromiter(
-            (MODE_ID[mode_for(view)] for view in self.steps),
-            dtype=np.int64,
-            count=len(self),
-        )
-        return self.lower_modes(modes, bypass_style=bypass_style)
 
 
 class TraceRecorder:

@@ -1,17 +1,16 @@
 """Result containers produced by the hardware models.
 
-:class:`HardwareReport` has two storage modes.  Appending
-:class:`LayerCycles` records one at a time (tests, custom models) keeps a
-plain Python list.  The vectorized accelerators instead hand over flat
-numpy columns via :meth:`HardwareReport.from_arrays`; aggregate metrics then
-run as column reductions and per-record :class:`LayerCycles` views are only
-materialized if somebody iterates ``report.layers``.
+:class:`HardwareReport` is columnar: the accelerator models hand over flat
+numpy columns (one per stage, one per energy component) via
+:meth:`HardwareReport.from_arrays`, aggregate metrics run as column
+reductions, and per-record :class:`LayerCycles` views are only materialized
+if somebody iterates ``report.layers``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -53,16 +52,15 @@ class LayerCycles:
 
 
 class HardwareReport:
-    """Aggregate outcome of running a full trace on one hardware model."""
+    """Aggregate outcome of running a full trace on one hardware model.
 
-    def __init__(
-        self, hardware: str, layers: Optional[Sequence[LayerCycles]] = None
-    ) -> None:
+    Built by :meth:`from_arrays`; ``arrays`` holds the per-record columns.
+    """
+
+    def __init__(self, hardware: str, arrays: dict) -> None:
         self.hardware = hardware
-        self._layers: Optional[List[LayerCycles]] = (
-            list(layers) if layers is not None else []
-        )
-        self._arrays: Optional[dict] = None
+        self._arrays = arrays
+        self._layers: Optional[List[LayerCycles]] = None
 
     @classmethod
     def from_arrays(
@@ -80,33 +78,36 @@ class HardwareReport:
         energy: Dict[str, np.ndarray],
         bytes_moved: np.ndarray,
     ) -> "HardwareReport":
-        """Columnar constructor used by the vectorized accelerator models."""
-        report = cls(hardware)
-        report._layers = None
+        """Columnar constructor: one entry per record in every array."""
         cycles = np.maximum(np.maximum(compute, memory), np.maximum(encode, vpu))
-        report._arrays = {
-            "layer_names": layer_names,
-            "layer_ids": np.asarray(layer_ids),
-            "step_index": np.asarray(step_index),
-            "modes": modes,
-            "mode_ids": np.asarray(mode_ids),
-            "compute": np.asarray(compute, dtype=np.float64),
-            "memory": np.asarray(memory, dtype=np.float64),
-            "encode": np.asarray(encode, dtype=np.float64),
-            "vpu": np.asarray(vpu, dtype=np.float64),
-            "cycles": cycles,
-            "energy": {k: np.asarray(v, dtype=np.float64) for k, v in energy.items()},
-            "bytes_moved": np.asarray(bytes_moved),
-        }
-        return report
+        return cls(
+            hardware,
+            {
+                "layer_names": layer_names,
+                "layer_ids": np.asarray(layer_ids),
+                "step_index": np.asarray(step_index),
+                "modes": modes,
+                "mode_ids": np.asarray(mode_ids),
+                "compute": np.asarray(compute, dtype=np.float64),
+                "memory": np.asarray(memory, dtype=np.float64),
+                "encode": np.asarray(encode, dtype=np.float64),
+                "vpu": np.asarray(vpu, dtype=np.float64),
+                "cycles": cycles,
+                "energy": {
+                    k: np.asarray(v, dtype=np.float64) for k, v in energy.items()
+                },
+                "bytes_moved": np.asarray(bytes_moved),
+            },
+        )
 
     # -- record access -----------------------------------------------------
-    def _materialize(self) -> List[LayerCycles]:
-        a = self._arrays
-        energy_items = list(a["energy"].items())
-        layers = []
-        for i in range(len(a["step_index"])):
-            layers.append(
+    @property
+    def layers(self) -> List[LayerCycles]:
+        """Per-record :class:`LayerCycles` views, materialized on first use."""
+        if self._layers is None:
+            a = self._arrays
+            energy_items = list(a["energy"].items())
+            self._layers = [
                 LayerCycles(
                     layer_name=a["layer_names"][a["layer_ids"][i]],
                     step_index=int(a["step_index"][i]),
@@ -118,113 +119,55 @@ class HardwareReport:
                     energy_pj={k: float(v[i]) for k, v in energy_items},
                     bytes_moved=int(a["bytes_moved"][i]),
                 )
-            )
-        return layers
-
-    @property
-    def layers(self) -> List[LayerCycles]:
-        if self._layers is None:
-            self._layers = self._materialize()
+                for i in range(len(self))
+            ]
         return self._layers
 
-    def append(self, layer: LayerCycles) -> None:
-        layers = self.layers  # materializes the views if needed
-        self._arrays = None  # record-level mutation invalidates the columns
-        layers.append(layer)
-
     def __len__(self) -> int:
-        if self._arrays is not None:
-            return len(self._arrays["step_index"])
-        return len(self._layers)
+        return len(self._arrays["step_index"])
 
     # -- cycles ----------------------------------------------------------
     @property
     def total_cycles(self) -> float:
-        if self._arrays is not None:
-            return float(self._arrays["cycles"].sum())
-        return sum(layer.cycles for layer in self.layers)
+        return float(self._arrays["cycles"].sum())
 
     @property
     def compute_cycles(self) -> float:
-        if self._arrays is not None:
-            a = self._arrays
-            return float(np.minimum(a["compute"], a["cycles"]).sum())
-        return sum(min(layer.compute_cycles, layer.cycles) for layer in self.layers)
+        """Compute Unit busy cycles, capped by each record's wall time."""
+        a = self._arrays
+        return float(np.minimum(a["compute"], a["cycles"]).sum())
 
     @property
     def stall_cycles(self) -> float:
-        if self._arrays is not None:
-            a = self._arrays
-            return float(np.maximum(a["memory"] - a["compute"], 0.0).sum())
-        return sum(layer.stall_cycles for layer in self.layers)
+        a = self._arrays
+        return float(np.maximum(a["memory"] - a["compute"], 0.0).sum())
 
     # -- energy / traffic -------------------------------------------------
     @property
     def total_energy_pj(self) -> float:
-        if self._arrays is not None:
-            return float(
-                sum(arr.sum() for arr in self._arrays["energy"].values())
-            )
-        return sum(layer.total_energy_pj for layer in self.layers)
+        return float(sum(arr.sum() for arr in self._arrays["energy"].values()))
 
     def energy_breakdown_pj(self) -> Dict[str, float]:
-        if self._arrays is not None:
-            return {
-                component: float(arr.sum())
-                for component, arr in self._arrays["energy"].items()
-            }
-        breakdown: Dict[str, float] = {}
-        for layer in self.layers:
-            for component, value in layer.energy_pj.items():
-                breakdown[component] = breakdown.get(component, 0.0) + value
-        return breakdown
+        return {
+            component: float(arr.sum())
+            for component, arr in self._arrays["energy"].items()
+        }
 
     @property
     def total_bytes(self) -> int:
-        if self._arrays is not None:
-            return int(self._arrays["bytes_moved"].sum())
-        return sum(layer.bytes_moved for layer in self.layers)
-
-    # -- comparisons --------------------------------------------------------
-    def speedup_over(self, other: "HardwareReport") -> float:
-        if self.total_cycles == 0:
-            return float("inf")
-        return other.total_cycles / self.total_cycles
-
-    def relative_energy(self, other: "HardwareReport") -> float:
-        if other.total_energy_pj == 0:
-            return float("inf")
-        return self.total_energy_pj / other.total_energy_pj
+        return int(self._arrays["bytes_moved"].sum())
 
     def relative_memory_accesses(self, other: "HardwareReport") -> float:
         if other.total_bytes == 0:
             return float("inf")
         return self.total_bytes / other.total_bytes
 
-    # -- per-layer views ---------------------------------------------------
-    def cycles_by_layer(self) -> Dict[str, float]:
-        if self._arrays is not None:
-            a = self._arrays
-            sums = np.bincount(
-                a["layer_ids"], weights=a["cycles"], minlength=len(a["layer_names"])
-            )
-            ids_present = np.unique(a["layer_ids"])
-            return {a["layer_names"][i]: float(sums[i]) for i in ids_present}
-        grouped: Dict[str, float] = {}
-        for layer in self.layers:
-            grouped[layer.layer_name] = grouped.get(layer.layer_name, 0.0) + layer.cycles
-        return grouped
-
+    # -- per-step view -----------------------------------------------------
     def cycles_by_step(self) -> Dict[int, float]:
-        if self._arrays is not None:
-            a = self._arrays
-            steps, inverse = np.unique(a["step_index"], return_inverse=True)
-            sums = np.bincount(inverse, weights=a["cycles"])
-            return {int(step): float(sums[i]) for i, step in enumerate(steps)}
-        grouped: Dict[int, float] = {}
-        for layer in self.layers:
-            grouped[layer.step_index] = grouped.get(layer.step_index, 0.0) + layer.cycles
-        return grouped
+        a = self._arrays
+        steps, inverse = np.unique(a["step_index"], return_inverse=True)
+        sums = np.bincount(inverse, weights=a["cycles"])
+        return {int(step): float(sums[i]) for i, step in enumerate(steps)}
 
     def summary(self) -> str:
         energy_uj = self.total_energy_pj / 1e6

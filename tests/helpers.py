@@ -7,11 +7,18 @@ imports that broke collection when the test directory is not a package.
 
 import numpy as np
 
-from repro.core import DittoEngine, RichLayerStep
+from repro.core import DittoEngine, RichLayerStep, RichTrace
 from repro.core.bitwidth import BitWidthStats
+from repro.core.trace import MODE_ID
 from repro.workloads.suite import BenchmarkSpec
 
-__all__ = ["make_rich", "make_tiny_engine", "make_tiny_spec", "TINY_SUITE"]
+__all__ = [
+    "make_rich",
+    "lower_one",
+    "make_tiny_engine",
+    "make_tiny_spec",
+    "TINY_SUITE",
+]
 
 
 def make_rich(
@@ -40,6 +47,13 @@ def make_rich(
         vpu_elems=200,
         chained_input=chained,
         producer_kind=producer,
+    )
+
+
+def lower_one(rich, mode, bypass_style="chained"):
+    """``rich`` lowered to ``mode`` as a one-record hardware ``Trace``."""
+    return RichTrace([rich]).lower_modes(
+        np.array([MODE_ID[mode]], dtype=np.int64), bypass_style
     )
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core import ExecutionMode, RichTrace, run_defo, run_ideal
 from repro.core.bitwidth import BitWidthStats
-from repro.core.trace import RichLayerStep
+from repro.core.trace import TEMPORAL_ID, RichLayerStep
 from repro.hw import build_accelerator
 
 
@@ -54,7 +54,7 @@ def random_trace(seed: int, num_layers: int, num_steps: int) -> RichTrace:
 
 
 def total_cycles(hardware, trace) -> float:
-    return sum(hardware.layer_cycles(step).cycles for step in trace)
+    return hardware.run(trace).total_cycles
 
 
 @settings(max_examples=20, deadline=None)
@@ -70,7 +70,7 @@ def test_ideal_lower_bounds_defo_and_naive(seed, num_layers, num_steps, hw_name)
     ideal = total_cycles(hardware, run_ideal(trace, hardware))
     defo = total_cycles(hardware, run_defo(trace, hardware).trace)
     naive = total_cycles(
-        hardware, trace.lower(lambda r: ExecutionMode.TEMPORAL)
+        hardware, trace.lower_modes(np.full(len(trace), TEMPORAL_ID))
     )
     assert ideal <= defo + 1e-6
     assert ideal <= naive + 1e-6

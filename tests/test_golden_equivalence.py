@@ -5,8 +5,8 @@ Pins the three invariants the PR-2 perf rebuild must not move:
 * the columnar ``RichTrace``/``Trace`` stores round-trip exactly to their
   dataclass views (append -> view -> append), including through pickle;
 * the fused ``classify_many`` equals merging per-array ``classify`` calls,
-  and the vectorized ``lower_modes``/accelerator columns equal the scalar
-  ``derive_layer_step``/``layer_cycles`` path record by record;
+  and the vectorized ``lower_modes``/BOPs/accelerator columns equal the
+  naive record-at-a-time formulas of ``tests/oracles.py`` record by record;
 * an instrumented engine run is *bit-exact* with the naive pre-refactor
   formulation: plain (uninstrumented) dense generation produces the same
   samples, and the recorded per-step ``BitWidthStats`` match a reference
@@ -19,9 +19,10 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core import ExecutionMode, RichTrace, classify, derive_layer_step
+from repro.core import ExecutionMode, RichTrace, classify
 from repro.core.bitwidth import BitWidthStats, classify_many
-from repro.core.trace import MODE_ID, Trace, TraceRecorder
+from repro.core.bops import _bops_column
+from repro.core.trace import DENSE_ID, MODE_ID, SPATIAL_ID, TEMPORAL_ID, Trace, TraceRecorder
 from repro.hw import build_accelerator
 from repro.nn import backends, functional as F
 from repro.quant.qlayers import QConv2d, QLinear, _max_product, quantize_model
@@ -29,6 +30,7 @@ from repro.quant.quantizer import qrange
 from repro.workloads import get_benchmark
 
 from helpers import make_rich, make_tiny_engine
+from oracles import derive_layer_step, layer_bops, layer_cycles
 
 # Every bit-exactness invariant below must hold under every backend that can
 # run here (the CI backend matrix additionally routes the whole suite through
@@ -75,7 +77,8 @@ def test_rich_trace_pickle_round_trip():
 
 
 def test_lowered_trace_pickle_and_views():
-    lowered = build_mixed_trace().lower(lambda r: ExecutionMode.TEMPORAL)
+    trace = build_mixed_trace()
+    lowered = trace.lower_modes(np.full(len(trace), TEMPORAL_ID))
     clone = pickle.loads(pickle.dumps(lowered))
     assert isinstance(clone, Trace)
     assert list(clone) == list(lowered)
@@ -126,28 +129,54 @@ def test_lower_modes_matches_derive_layer_step(mode, bypass):
         assert got == derive_layer_step(rich, mode, bypass)
 
 
+def _temporal_else_spatial(trace):
+    return np.where(trace.col("has_temporal"), TEMPORAL_ID, SPATIAL_ID)
+
+
+def _cycling_modes(trace):
+    """DENSE, TEMPORAL and SPATIAL records interleaved (dense included)."""
+    return np.array([DENSE_ID, TEMPORAL_ID, SPATIAL_ID])[np.arange(len(trace)) % 3]
+
+
+@pytest.mark.parametrize("zero_skipping", [True, False])
+def test_vectorized_bops_match_scalar(zero_skipping):
+    trace = build_mixed_trace()
+    for modes in (_temporal_else_spatial(trace), _cycling_modes(trace)):
+        lowered = trace.lower_modes(modes)
+        column = _bops_column(lowered, zero_skipping)
+        for i, step in enumerate(lowered):
+            assert column[i] == layer_bops(step, zero_skipping)
+
+
 @pytest.mark.parametrize("hardware", ["ITC", "Diffy", "Ditto", "Cambricon-D", "GPU"])
 def test_vectorized_accelerator_matches_scalar(hardware):
     accel = build_accelerator(hardware)
-    trace = build_mixed_trace().lower(
-        lambda r: ExecutionMode.TEMPORAL if r.has_temporal else ExecutionMode.SPATIAL
-    )
-    report = accel.run(trace)
-    for step, layer in zip(trace, report.layers):
-        ref = accel.layer_cycles(step)
-        assert layer.layer_name == ref.layer_name
-        assert layer.cycles == ref.cycles
-        assert layer.compute_cycles == ref.compute_cycles
-        assert layer.memory_cycles == ref.memory_cycles
-        assert layer.encode_cycles == ref.encode_cycles
-        assert layer.vpu_cycles == ref.vpu_cycles
-        assert layer.bytes_moved == ref.bytes_moved
-        assert set(layer.energy_pj) == set(ref.energy_pj)
-        for component, value in ref.energy_pj.items():
-            assert layer.energy_pj[component] == pytest.approx(value, rel=1e-12)
-    assert report.total_cycles == pytest.approx(
-        sum(accel.layer_cycles(s).cycles for s in trace), rel=1e-12
-    )
+    rich = build_mixed_trace()
+    # The second lowering mixes DENSE records in, so the oracle also checks
+    # the dense paths (Cambricon-D's outlier-PE routing, ITC's dense lanes).
+    for modes in (_temporal_else_spatial(rich), _cycling_modes(rich)):
+        trace = rich.lower_modes(modes)
+        report = accel.run(trace)
+        assert len(report) == len(trace)
+        for step, layer in zip(trace, report.layers):
+            ref = layer_cycles(accel, step)
+            assert layer.layer_name == ref.layer_name
+            assert layer.mode == ref.mode
+            assert layer.cycles == ref.cycles
+            assert layer.compute_cycles == ref.compute_cycles
+            assert layer.memory_cycles == ref.memory_cycles
+            assert layer.encode_cycles == ref.encode_cycles
+            assert layer.vpu_cycles == ref.vpu_cycles
+            assert layer.bytes_moved == ref.bytes_moved
+            assert set(layer.energy_pj) == set(ref.energy_pj)
+            for component, value in ref.energy_pj.items():
+                assert layer.energy_pj[component] == pytest.approx(value, rel=1e-12)
+        assert report.total_cycles == pytest.approx(
+            sum(layer_cycles(accel, s).cycles for s in trace), rel=1e-12
+        )
+        np.testing.assert_array_equal(
+            accel.cycles_array(trace), [layer.cycles for layer in report.layers]
+        )
 
 
 # -- bit-exactness vs the pre-refactor formulation ---------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ExecutionMode, derive_layer_step
+from repro.core import ExecutionMode
 from repro.hw import (
     DBDS_CONFIG,
     DB_CONFIG,
@@ -15,11 +15,22 @@ from repro.hw import (
     get_config,
 )
 
-from helpers import make_rich
+from helpers import lower_one, make_rich
 
 
 def lowered(mode=ExecutionMode.TEMPORAL, **kwargs):
-    return derive_layer_step(make_rich(**kwargs), mode)
+    """A one-record hardware trace; ``trace[0]`` is its record view."""
+    return lower_one(make_rich(**kwargs), mode)
+
+
+def layer_result(model, trace):
+    """The one record's :class:`LayerCycles` from ``model.run``."""
+    return model.run(trace).layers[0]
+
+
+def stage(model, name, trace):
+    """The one record's cycles for stage ``name`` (e.g. ``"compute"``)."""
+    return float(getattr(model, f"{name}_cycles_array")(trace)[0])
 
 
 # -- Table III configuration -------------------------------------------------
@@ -62,76 +73,76 @@ def test_get_config_unknown():
 
 def test_itc_dense_cycles():
     itc = AdderTreeAccelerator(get_config("ITC"))
-    step = lowered(ExecutionMode.DENSE)
-    assert itc.compute_cycles(step) == pytest.approx(step.macs / 27648)
+    trace = lowered(ExecutionMode.DENSE)
+    assert stage(itc, "compute", trace) == pytest.approx(trace[0].macs / 27648)
 
 
 def test_ditto_dense_pairs_lanes():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    step = lowered(ExecutionMode.DENSE)
-    assert ditto.compute_cycles(step) == pytest.approx(2 * step.macs / 39398)
+    trace = lowered(ExecutionMode.DENSE)
+    assert stage(ditto, "compute", trace) == pytest.approx(2 * trace[0].macs / 39398)
 
 
 def test_ditto_temporal_skips_zeros():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    step = lowered(ExecutionMode.TEMPORAL)
+    trace = lowered(ExecutionMode.TEMPORAL)
     # stats: 40% zero (skipped), 50% low (1 lane), 10% high (2 lanes)
-    expected = step.macs * (0.5 + 0.2) / 39398
-    assert ditto.compute_cycles(step) == pytest.approx(expected)
+    expected = trace[0].macs * (0.5 + 0.2) / 39398
+    assert stage(ditto, "compute", trace) == pytest.approx(expected)
 
 
 def test_db_pays_for_zeros():
     db = AdderTreeAccelerator(DB_CONFIG)
-    step = lowered(ExecutionMode.TEMPORAL)
-    expected = step.macs * (0.4 + 0.5 + 0.2) / 39398
-    assert db.compute_cycles(step) == pytest.approx(expected)
+    trace = lowered(ExecutionMode.TEMPORAL)
+    expected = trace[0].macs * (0.4 + 0.5 + 0.2) / 39398
+    assert stage(db, "compute", trace) == pytest.approx(expected)
 
 
 def test_ds_eight_bit_lanes():
     ds = AdderTreeAccelerator(DS_CONFIG)
-    step = lowered(ExecutionMode.TEMPORAL)
+    trace = lowered(ExecutionMode.TEMPORAL)
     # zero skipped, low and high both one 8-bit MAC
-    expected = step.macs * 0.6 / 27648
-    assert ds.compute_cycles(step) == pytest.approx(expected)
+    expected = trace[0].macs * 0.6 / 27648
+    assert stage(ds, "compute", trace) == pytest.approx(expected)
 
 
 def test_dbds_equals_ditto_compute():
-    step = lowered(ExecutionMode.TEMPORAL)
+    trace = lowered(ExecutionMode.TEMPORAL)
     ditto = AdderTreeAccelerator(get_config("Ditto"))
     dbds = AdderTreeAccelerator(DBDS_CONFIG)
-    assert dbds.compute_cycles(step) == pytest.approx(ditto.compute_cycles(step))
+    assert stage(dbds, "compute", trace) == pytest.approx(stage(ditto, "compute", trace))
 
 
 def test_sub_ops_scale_compute():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
     one = lowered(ExecutionMode.TEMPORAL, sub_ops=1)
     two = lowered(ExecutionMode.TEMPORAL, sub_ops=2)
-    assert ditto.compute_cycles(two) == pytest.approx(2 * ditto.compute_cycles(one))
+    assert stage(ditto, "compute", two) == pytest.approx(2 * stage(ditto, "compute", one))
 
 
 # -- Cambricon-D --------------------------------------------------------------
 
 def test_cambricon_outlier_bottleneck():
     camd = CambriconDAccelerator(get_config("Cambricon-D"))
-    step = lowered(ExecutionMode.TEMPORAL)
-    normal = step.macs * 0.9 / 38280  # zero+low on normal lanes (no skip)
-    outlier = step.macs * 0.1 / 2552
-    assert camd.compute_cycles(step) == pytest.approx(max(normal, outlier))
-    assert camd.compute_cycles(step) == pytest.approx(outlier)  # outliers bind
+    trace = lowered(ExecutionMode.TEMPORAL)
+    normal = trace[0].macs * 0.9 / 38280  # zero+low on normal lanes (no skip)
+    outlier = trace[0].macs * 0.1 / 2552
+    assert stage(camd, "compute", trace) == pytest.approx(max(normal, outlier))
+    assert stage(camd, "compute", trace) == pytest.approx(outlier)  # outliers bind
 
 
 def test_cambricon_dense_runs_on_outliers_only():
     camd = CambriconDAccelerator(get_config("Cambricon-D"))
-    step = lowered(ExecutionMode.DENSE)
-    assert camd.compute_cycles(step) == pytest.approx(step.macs / 2552)
+    trace = lowered(ExecutionMode.DENSE)
+    assert stage(camd, "compute", trace) == pytest.approx(trace[0].macs / 2552)
 
 
 # -- pipelining / memory -----------------------------------------------------
 
 def test_layer_cycles_is_stage_max():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    step = lowered(ExecutionMode.TEMPORAL)
-    result = ditto.layer_cycles(step)
+    trace = lowered(ExecutionMode.TEMPORAL)
+    result = layer_result(ditto, trace)
     assert result.cycles == pytest.approx(
         max(result.compute_cycles, result.memory_cycles,
             result.encode_cycles, result.vpu_cycles)
@@ -140,19 +151,19 @@ def test_layer_cycles_is_stage_max():
 
 def test_memory_cycles_use_bandwidth():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    step = lowered(ExecutionMode.TEMPORAL)
-    assert ditto.memory_cycles(step) == pytest.approx(step.bytes_total / 2048)
+    trace = lowered(ExecutionMode.TEMPORAL)
+    assert stage(ditto, "memory", trace) == pytest.approx(trace[0].bytes_total / 2048)
 
 
 def test_encode_only_for_difference_modes():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    assert ditto.encode_cycles(lowered(ExecutionMode.DENSE)) == 0.0
-    assert ditto.encode_cycles(lowered(ExecutionMode.TEMPORAL)) > 0.0
+    assert stage(ditto, "encode", lowered(ExecutionMode.DENSE)) == 0.0
+    assert stage(ditto, "encode", lowered(ExecutionMode.TEMPORAL)) > 0.0
 
 
 def test_stall_cycles_nonnegative():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    result = ditto.layer_cycles(lowered(ExecutionMode.TEMPORAL))
+    result = layer_result(ditto, lowered(ExecutionMode.TEMPORAL))
     assert result.stall_cycles >= 0.0
 
 
@@ -160,7 +171,7 @@ def test_stall_cycles_nonnegative():
 
 def test_energy_components_present():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    energy = ditto.layer_cycles(lowered(ExecutionMode.TEMPORAL)).energy_pj
+    energy = layer_result(ditto, lowered(ExecutionMode.TEMPORAL)).energy_pj
     for key in ("compute", "encode", "vpu", "defo", "sram", "dram", "leak"):
         assert key in energy
         assert energy[key] >= 0.0
@@ -168,14 +179,14 @@ def test_energy_components_present():
 
 def test_dense_has_no_encode_energy():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    energy = ditto.layer_cycles(lowered(ExecutionMode.DENSE)).energy_pj
+    energy = layer_result(ditto, lowered(ExecutionMode.DENSE)).energy_pj
     assert energy["encode"] == 0.0
 
 
 def test_temporal_compute_energy_below_dense():
     ditto = AdderTreeAccelerator(get_config("Ditto"))
-    dense = ditto.layer_cycles(lowered(ExecutionMode.DENSE)).energy_pj["compute"]
-    temporal = ditto.layer_cycles(lowered(ExecutionMode.TEMPORAL)).energy_pj["compute"]
+    dense = layer_result(ditto, lowered(ExecutionMode.DENSE)).energy_pj["compute"]
+    temporal = layer_result(ditto, lowered(ExecutionMode.TEMPORAL)).energy_pj["compute"]
     assert temporal < dense
 
 
@@ -183,8 +194,8 @@ def test_temporal_compute_energy_below_dense():
 
 def test_gpu_model_launch_overhead():
     gpu = GPUModel(utilization=0.1, launch_cycles=100.0)
-    step = lowered(ExecutionMode.DENSE)
-    result = gpu.layer_cycles(step)
+    trace = lowered(ExecutionMode.DENSE)
+    result = layer_result(gpu, trace)
     assert result.compute_cycles > 100.0
     assert result.total_energy_pj > 0
 

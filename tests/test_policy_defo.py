@@ -1,11 +1,12 @@
 """Unit tests for policy lowering and the Defo decision machinery."""
 
+import numpy as np
 import pytest
 
 from repro.core import ExecutionMode, RichTrace, run_defo, run_ideal
 from repro.core.policy import lower_dense, lower_spatial, lower_temporal
 from repro.core.bitwidth import BitWidthStats
-from repro.core.trace import RichLayerStep
+from repro.core.trace import DENSE_ID, RichLayerStep
 
 
 class StubHardware:
@@ -18,23 +19,15 @@ class StubHardware:
         self.throughput = throughput
         self.bw = bw
 
-    def layer_cycles(self, step):
-        class R:
-            pass
-
-        stats = step.stats
-        if step.mode is ExecutionMode.DENSE:
-            compute = 2.0 * step.macs / self.throughput
-        else:
-            compute = (
-                step.macs
-                * step.sub_ops
-                * (stats.low_frac + 2 * stats.high_frac)
-                / self.throughput
-            )
-        r = R()
-        r.cycles = max(compute, step.bytes_total / self.bw)
-        return r
+    def cycles_array(self, trace):
+        _, low_frac, high_frac = trace.operand_fractions()
+        macs = trace.col("macs")
+        compute = np.where(
+            trace.col("mode") == DENSE_ID,
+            2.0 * macs / self.throughput,
+            macs * trace.col("sub_ops") * (low_frac + 2 * high_frac) / self.throughput,
+        )
+        return np.maximum(compute, trace.bytes_total() / self.bw)
 
 
 def rich_step(step_index, name, zero=60, low=30, high=10, temporal=True,
@@ -153,8 +146,8 @@ def test_dynamic_defo_switches_on_drift():
     last_step = max(s for (_, s) in dynamic.assigned)
     assert dynamic.assigned[("drifty", last_step)] is ExecutionMode.DENSE
     hw = StubHardware()
-    static_cycles = sum(hw.layer_cycles(s).cycles for s in static.trace)
-    dynamic_cycles = sum(hw.layer_cycles(s).cycles for s in dynamic.trace)
+    static_cycles = hw.cycles_array(static.trace).sum()
+    dynamic_cycles = hw.cycles_array(dynamic.trace).sum()
     assert dynamic_cycles < static_cycles
 
 
@@ -163,8 +156,8 @@ def test_ideal_at_least_as_good_as_defo():
     hw = StubHardware()
     defo = run_defo(trace, hw)
     ideal = run_ideal(trace, hw)
-    defo_cycles = sum(hw.layer_cycles(s).cycles for s in defo.trace)
-    ideal_cycles = sum(hw.layer_cycles(s).cycles for s in ideal)
+    defo_cycles = hw.cycles_array(defo.trace).sum()
+    ideal_cycles = hw.cycles_array(ideal).sum()
     assert ideal_cycles <= defo_cycles + 1e-9
 
 

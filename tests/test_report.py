@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.hw.report import HardwareReport, LayerCycles
+from repro.hw.report import LayerCycles
+
+from oracles import report_from_layers
 
 
 def layer(name="l", step=0, compute=10.0, memory=5.0, encode=1.0, vpu=2.0,
@@ -35,9 +37,9 @@ def test_layer_total_energy():
 
 
 def test_report_totals():
-    report = HardwareReport(hardware="X")
-    report.append(layer(name="a", compute=10, memory=5))
-    report.append(layer(name="b", compute=10, memory=30))
+    report = report_from_layers(
+        "X", [layer(name="a", compute=10, memory=5), layer(name="b", compute=10, memory=30)]
+    )
     assert report.total_cycles == 40.0
     assert report.stall_cycles == 20.0
     assert report.total_bytes == 200
@@ -45,53 +47,52 @@ def test_report_totals():
 
 
 def test_report_compute_cycles_capped_by_layer_time():
-    report = HardwareReport(hardware="X")
-    report.append(layer(compute=10, memory=30))
+    report = report_from_layers("X", [layer(compute=10, memory=30)])
     # The compute engine is busy at most the layer's wall time.
     assert report.compute_cycles == 10.0
 
 
 def test_energy_breakdown_merges_components():
-    report = HardwareReport(hardware="X")
-    report.append(layer(energy={"compute": 1.0, "dram": 2.0}))
-    report.append(layer(energy={"compute": 3.0, "vpu": 4.0}))
+    report = report_from_layers(
+        "X",
+        [
+            layer(energy={"compute": 1.0, "dram": 2.0}),
+            layer(energy={"compute": 3.0, "vpu": 4.0}),
+        ],
+    )
     breakdown = report.energy_breakdown_pj()
     assert breakdown == {"compute": 4.0, "dram": 2.0, "vpu": 4.0}
 
 
 def test_grouping_helpers():
-    report = HardwareReport(hardware="X")
-    report.append(layer(name="a", step=0))
-    report.append(layer(name="a", step=1))
-    report.append(layer(name="b", step=1))
-    by_layer = report.cycles_by_layer()
+    records = [layer(name="a", step=0), layer(name="a", step=1), layer(name="b", step=1)]
+    report = report_from_layers("X", records)
     by_step = report.cycles_by_step()
-    assert set(by_layer) == {"a", "b"}
-    assert by_layer["a"] == 2 * layer().cycles
     assert set(by_step) == {0, 1}
+    assert by_step[1] == 2 * layer().cycles
+    # The lazy record views round-trip the columns.
+    assert report.layers == records
+    assert len(report) == 3
 
 
 def test_comparison_helpers():
-    fast = HardwareReport(hardware="fast")
-    slow = HardwareReport(hardware="slow")
-    fast.append(layer(compute=10, memory=0, encode=0, vpu=0))
-    slow.append(layer(compute=40, memory=0, encode=0, vpu=0))
-    assert fast.speedup_over(slow) == 4.0
-    assert slow.relative_energy(fast) == pytest.approx(1.0)
+    fast = report_from_layers("fast", [layer(compute=10, memory=0, encode=0, vpu=0)])
+    slow = report_from_layers("slow", [layer(compute=40, memory=0, encode=0, vpu=0)])
+    assert slow.total_cycles / fast.total_cycles == 4.0
+    assert slow.total_energy_pj / fast.total_energy_pj == pytest.approx(1.0)
     assert fast.relative_memory_accesses(slow) == pytest.approx(1.0)
 
 
 def test_empty_report_edge_cases():
-    empty = HardwareReport(hardware="E")
-    other = HardwareReport(hardware="O")
-    other.append(layer())
-    assert empty.speedup_over(other) == float("inf")
+    empty = report_from_layers("E", [])
+    other = report_from_layers("O", [layer()])
+    assert len(empty) == 0
+    assert empty.total_cycles == 0.0
     assert empty.relative_memory_accesses(other) == 0.0
     assert other.relative_memory_accesses(empty) == float("inf")
 
 
 def test_summary_format():
-    report = HardwareReport(hardware="Ditto")
-    report.append(layer())
+    report = report_from_layers("Ditto", [layer()])
     text = report.summary()
     assert "Ditto" in text and "cycles" in text and "bytes" in text
